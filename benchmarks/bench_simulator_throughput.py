@@ -11,13 +11,7 @@ uniform-random traffic.  Two scenario families:
   all three designs, plus a 16×16 AFC point, where every router is busy
   every cycle and wall-clock is dominated by the per-flit hot path
   (slotted flits, allocation-free channel drains, precomputed route
-  tables — see docs/PERFORMANCE.md, "Saturation fast path");
-* the **vector suite** — 16×16 and 48×48 backpressureless points at
-  80 % injection for the structure-of-arrays batch engine
-  (``engine="vector"``), the 48×48 row warmed to steady saturation
-  before timing.  ``speedup_vec_vs_current`` reports vector-vs-active
-  wall-clock per scenario; the large warmed row is the
-  ``speedup_vec_vs_current ≥ 10`` acceptance point.
+  tables — see docs/PERFORMANCE.md, "Saturation fast path").
 
 Run standalone to (re)generate the archived JSON::
 
@@ -32,10 +26,10 @@ Run standalone to (re)generate the archived JSON::
     PYTHONPATH=/path/to/baseline/src python \
         benchmarks/bench_simulator_throughput.py --label pr1
 
-The script measures every engine the imported build supports (a build
-without the ``engine`` parameter is measured once as ``naive``), asserts
-that all engines of one build produce bit-identical energy totals and
-traffic statistics, and — whenever two comparable labels are present —
+The script measures both cycle engines (``naive`` and ``active``; a
+build without the ``engine`` parameter is measured once as ``naive``),
+asserts that they produce bit-identical energy totals and traffic
+statistics, and — whenever two comparable labels are present —
 computes per-scenario wall-clock speedups *after* asserting the labels
 agree on every reported statistic (latency, deflection rate, energy):
 a speedup obtained by changing simulated behaviour is a bug, not a win.
@@ -51,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib.util
 import inspect
 import json
 import pathlib
@@ -75,52 +68,27 @@ HIGH_RATE = 0.40
 SAT_RATES = (0.6, 0.8)
 DESIGN_NAMES = ("backpressured", "backpressureless", "afc")
 
-#: Deep-queue scenarios keep flit memory bounded on the big meshes
-#: (saturation throughput is capacity-bound, so a short source queue
-#: does not change the measured steady state — only the RAM bill).
-LARGE_MESH_QUEUE_LIMIT = 60
-
-#: (key, design, rate, width, height, default cycles, warmup cycles,
-#: source queue limit).  The key format keeps PR-1 compatibility for
-#: the original 8×8 scenarios so old labels keep matching;
-#: mesh-qualified keys mark the rest.  Warmed scenarios run their
-#: warmup untimed so the measured window is pure steady-state
-#: saturation (the cumulative invariant statistics still cover the
-#: whole run).
-Scenario = Tuple[str, str, float, int, int, int, int, int]
+#: (key, design, rate, width, height, default cycles).  The key format
+#: keeps PR-1 compatibility for the original 8×8 scenarios so old
+#: labels keep matching; mesh-qualified keys mark the rest.
+Scenario = Tuple[str, str, float, int, int, int]
 
 
-def _scenarios(include_large: bool = True) -> List[Scenario]:
+def _scenarios() -> List[Scenario]:
     out: List[Scenario] = []
     for design_name in DESIGN_NAMES:
         for rate in (LOW_RATE, HIGH_RATE):
             out.append(
                 (f"{design_name}@{rate}", design_name, rate, WIDTH, HEIGHT,
-                 CYCLES, 0, SOURCE_QUEUE_LIMIT)
+                 CYCLES)
             )
         for rate in SAT_RATES:
             out.append(
                 (f"{design_name}@{rate}", design_name, rate, WIDTH, HEIGHT,
-                 SAT_CYCLES, 0, SOURCE_QUEUE_LIMIT)
+                 SAT_CYCLES)
             )
     # A larger-mesh saturated point: 4x the routers, all of them busy.
-    out.append(
-        ("afc@16x16@0.6", "afc", 0.6, 16, 16, SAT_CYCLES, 0,
-         SOURCE_QUEUE_LIMIT)
-    )
-    # Vector-engine measurement points (backpressureless is the
-    # vectorized design).  The 16×16 row is directly comparable to the
-    # AFC row above; the warmed 48×48 row is the saturating-load
-    # acceptance point for ``speedup_vec_vs_current``.
-    out.append(
-        ("backpressureless@16x16@0.8", "backpressureless", 0.8, 16, 16,
-         SAT_CYCLES, 0, LARGE_MESH_QUEUE_LIMIT)
-    )
-    if include_large:
-        out.append(
-            ("backpressureless@48x48@0.8", "backpressureless", 0.8, 48, 48,
-             SAT_CYCLES, 400, LARGE_MESH_QUEUE_LIMIT)
-        )
+    out.append(("afc@16x16@0.6", "afc", 0.6, 16, 16, SAT_CYCLES))
     return out
 
 
@@ -129,14 +97,7 @@ def _supported_engines() -> List[Optional[str]]:
 
     if "engine" not in inspect.signature(Network.__init__).parameters:
         return [None]  # pre-engine build: only the original loop exists
-    engines = ["naive", "active"]
-    try:
-        import numpy  # noqa: F401  (vector engine requires it)
-    except ImportError:
-        return engines
-    if importlib.util.find_spec("repro.engine") is not None:
-        engines.append("vector")
-    return engines
+    return ["naive", "active"]
 
 
 def _measure(
@@ -146,8 +107,6 @@ def _measure(
     cycles: int,
     width: int = WIDTH,
     height: int = HEIGHT,
-    warmup: int = 0,
-    queue_limit: int = SOURCE_QUEUE_LIMIT,
 ) -> Dict[str, float]:
     from repro.network.config import Design, NetworkConfig
     from repro.simulation import Network
@@ -157,17 +116,14 @@ def _measure(
     kwargs = {} if engine is None else {"engine": engine}
     net = Network(config, Design(design_name), seed=NET_SEED, **kwargs)
     source = uniform_random_traffic(
-        net, rate, seed=TRAFFIC_SEED, source_queue_limit=queue_limit
+        net, rate, seed=TRAFFIC_SEED, source_queue_limit=SOURCE_QUEUE_LIMIT
     )
-    if warmup:
-        source.run(warmup)
     # Time compute, not the cycle collector: flit<->packet references
-    # are cyclic, so big live populations (48x48 keeps ~10^5 flits
-    # queued) make every gen-2 collection scan the whole slab —
-    # dozens of such scans land inside a long window and their cost
-    # depends on what *earlier scenarios* left behind, not on the
-    # engine under test.  Collect first, switch GC off for the timed
-    # window (uniformly, for every engine), restore after.
+    # are cyclic, so big live populations make every gen-2 collection
+    # scan the whole slab — such scans land inside a long window and
+    # their cost depends on what *earlier scenarios* left behind, not
+    # on the engine under test.  Collect first, switch GC off for the
+    # timed window (uniformly, for every engine), restore after.
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -213,28 +169,23 @@ def _invariants(measurement: dict) -> tuple:
     )
 
 
-def run_suite(
-    cycles: Optional[int] = None, include_large: bool = True
-) -> Dict[str, dict]:
+def run_suite(cycles: Optional[int] = None) -> Dict[str, dict]:
     """Measure every (scenario, engine) combination of this build.
 
     ``cycles`` overrides every scenario's cycle count (quick/CI mode);
     by default each scenario uses its own archived-comparable count.
-    ``include_large=False`` (quick/CI mode) drops the warmed 48×48 row,
-    whose scalar-engine runs dominate the suite's wall-clock.
     """
     engines = _supported_engines()
     suite: Dict[str, dict] = {}
     for (
-        key, design_name, rate, width, height, default_cycles, warmup, limit
-    ) in _scenarios(include_large=include_large):
+        key, design_name, rate, width, height, default_cycles
+    ) in _scenarios():
         n_cycles = cycles if cycles is not None else default_cycles
         per_engine: Dict[str, dict] = {}
         for engine in engines:
             label = engine if engine is not None else "naive"
             per_engine[label] = _measure(
-                design_name, rate, engine, n_cycles, width, height,
-                warmup, limit
+                design_name, rate, engine, n_cycles, width, height
             )
         results = {
             _invariants(m) for m in per_engine.values()
@@ -245,23 +196,6 @@ def run_suite(
             )
         suite[key] = per_engine
     return suite
-
-
-def _vector_speedups(doc: dict, label: str = "current") -> Dict[str, float]:
-    """Per-scenario ``active / vector`` wall-clock ratios within one
-    label.  Cross-engine stat identity was already asserted when the
-    suite ran (see :func:`run_suite`), so any ratio here is a true
-    same-behaviour speedup.  Scenarios whose design the vector engine
-    does not cover fall back to the active engine and report ~1.0."""
-    measurements = doc["measurements"].get(label) or {}
-    out = {}
-    for key, engines in measurements.items():
-        if "vector" in engines and "active" in engines:
-            out[key] = round(
-                engines["active"]["seconds"] / engines["vector"]["seconds"],
-                2,
-            )
-    return out
 
 
 def _best_engine(engines: dict) -> Optional[dict]:
@@ -352,7 +286,6 @@ def main(argv=None) -> int:
     cycles = args.cycles
     if args.quick and cycles is None:
         cycles = 300
-    include_large = not args.quick
 
     doc = {"measurements": {}}
     if args.out.exists():
@@ -368,14 +301,10 @@ def main(argv=None) -> int:
         "network_seed": NET_SEED,
         "traffic_seed": TRAFFIC_SEED,
         "source_queue_limit": SOURCE_QUEUE_LIMIT,
-        "large_mesh_queue_limit": LARGE_MESH_QUEUE_LIMIT,
     }
-    doc["measurements"][args.label] = run_suite(
-        cycles, include_large=include_large
-    )
+    doc["measurements"][args.label] = run_suite(cycles)
     doc["speedup_active_vs_seed"] = _seed_speedups(doc)
     doc["speedup_current_vs_pr1"] = _speedups(doc, "pr1", "current")
-    doc["speedup_vec_vs_current"] = _vector_speedups(doc)
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -383,7 +312,6 @@ def main(argv=None) -> int:
     for name in (
         "speedup_active_vs_seed",
         "speedup_current_vs_pr1",
-        "speedup_vec_vs_current",
     ):
         for key, ratio in doc.get(name, {}).items():
             print(f"  {name} {key}: {ratio}x")
@@ -395,15 +323,8 @@ def test_simulator_throughput_smoke(benchmark):
     """Tiny smoke run: both engines work and agree at low load."""
     from _common import run_once
 
-    suite = run_once(
-        benchmark, lambda: run_suite(cycles=200, include_large=False)
-    )
+    suite = run_once(benchmark, lambda: run_suite(cycles=200))
     assert f"afc@{LOW_RATE}" in suite
-    engines = suite[f"backpressureless@{SAT_RATES[1]}"]
-    if "vector" in engines:  # vec/naive bit-identity (asserted per row
-        # inside run_suite; spot-check the stats really are populated)
-        assert engines["vector"]["flit_hops"] == engines["naive"]["flit_hops"]
-        assert engines["vector"]["flit_hops"] > 0
 
 
 if __name__ == "__main__":

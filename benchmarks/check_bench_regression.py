@@ -109,7 +109,7 @@ def main(argv=None) -> int:
         )
         return 1
 
-    by_key = {s[0]: s for s in bench._scenarios(include_large=True)}
+    by_key = {s[0]: s for s in bench._scenarios()}
     unknown = [k for k in args.scenarios if k not in by_key]
     if unknown:
         print(f"unknown scenarios: {unknown}", file=sys.stderr)
@@ -127,8 +127,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             continue
-        (_, design_name, rate, width, height,
-         cycles, warmup, limit) = by_key[key]
+        _, design_name, rate, width, height, cycles = by_key[key]
         for engine in engines:
             engine_label = engine if engine is not None else "naive"
             base = baseline[key].get(engine_label)
@@ -137,8 +136,7 @@ def main(argv=None) -> int:
             best: Dict[str, float] = {}
             for _ in range(max(1, args.repeats)):
                 fresh = bench._measure(
-                    design_name, rate, engine, cycles,
-                    width, height, warmup, limit,
+                    design_name, rate, engine, cycles, width, height
                 )
                 if not best or fresh["seconds"] < best["seconds"]:
                     best = fresh

@@ -13,10 +13,7 @@ graph, RNG-taint call summaries), then runs per file:
   float equality;
 * the **async / fork-safety** pass (:mod:`.async_checks`) — blocking
   calls in coroutines, un-awaited coroutines, pre-fork event
-  loops/locks, mutable module state in the service tree;
-* the **numpy hot-path** pass (:mod:`.numpy_checks`) — object
-  dtypes, Python loops over arrays in hot-path classes, append in
-  loops, float32/float64 mixing on accumulate paths.
+  loops/locks, mutable module state in the service tree.
 
 Usage::
 

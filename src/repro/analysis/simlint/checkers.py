@@ -789,11 +789,10 @@ def check_source(
     """
     directives = collect_comment_directives(source)
 
-    # Project-wide passes (dataflow taint, async/fork-safety, numpy
-    # hot-path).  Imported lazily: these modules import Violation from
-    # here, so a top-level import would be circular.
+    # Project-wide passes (dataflow taint, async/fork-safety).
+    # Imported lazily: these modules import Violation from here, so a
+    # top-level import would be circular.
     from .async_checks import check_async
-    from .numpy_checks import check_numpy
     from .project import Project
     from .taint import check_taint
 
@@ -813,9 +812,6 @@ def check_source(
     if module is not None:
         violations.extend(check_taint(module, project, config))
         violations.extend(check_async(module, project, config))
-        violations.extend(
-            check_numpy(module, config, directives.hot_path_lines)
-        )
 
     if warnings is not None:
         warnings.extend(

@@ -16,9 +16,6 @@ where it applies:
   (:attr:`LintConfig.service_path_markers`): async/fork-safety rules
   for code that runs coroutines in the server process and forks seed
   workers.
-* ``engine`` — the vectorized batch engine
-  (:attr:`LintConfig.engine_path_markers`): numpy hot-path hygiene
-  and dtype bit-identity rules.
 * ``hotpath`` — classes registered in the hot-path allowlist
   (:attr:`LintConfig.hot_path_classes`) or marked in source with a
   ``# simlint: hot-path`` comment on their ``class`` line.
@@ -38,7 +35,6 @@ from typing import Dict, FrozenSet, Mapping, Tuple
 SCOPE_ALL = "all"
 SCOPE_NETWORK = "network"
 SCOPE_SERVICE = "service"
-SCOPE_ENGINE = "engine"
 SCOPE_HOTPATH = "hotpath"
 
 
@@ -199,47 +195,6 @@ RULES: Tuple[Rule, ...] = (
         "consistency bug by construction. Hang state off the service "
         "object or pass it explicitly.",
     ),
-    # -- numpy hot-path pass (engine) ----------------------------------
-    Rule(
-        "numpy-object-dtype",
-        SCOPE_ENGINE,
-        "object-dtype numpy array in the vector engine",
-        "`dtype=object` (or `astype(object)`) in `engine/` — an "
-        "object-dtype array is a pointer table: every op falls back "
-        "to per-element Python dispatch, defeating the entire point "
-        "of the SoA engine and reintroducing per-object allocation "
-        "on the cycle path.",
-    ),
-    Rule(
-        "numpy-python-loop",
-        SCOPE_ENGINE,
-        "Python-level for loop over a numpy array in a hot-path class",
-        "a Python `for` over a numpy array inside a registered "
-        "hot-path class — per-element interpreter iteration on the "
-        "whole-mesh passes is exactly the scalar cost the vector "
-        "engine exists to avoid; restructure as a whole-array "
-        "operation or mask.",
-    ),
-    Rule(
-        "numpy-append-loop",
-        SCOPE_ENGINE,
-        "np.append/concatenate inside a loop (quadratic reallocation)",
-        "`np.append` / `np.concatenate` / `np.hstack` / `np.vstack` "
-        "inside a `for`/`while` body — each call reallocates and "
-        "copies the whole array, turning a linear pass quadratic. "
-        "Preallocate the slab and fill by slice.",
-    ),
-    Rule(
-        "numpy-dtype-mixing",
-        SCOPE_ENGINE,
-        "float32/float64 mixing on an accumulate path",
-        "arithmetic mixing a known-`float32` and a known-`float64` "
-        "array, or `np.add.accumulate` / `np.cumsum` over a "
-        "`float32` array — the energy-replay contract is a *float64* "
-        "left fold matching the scalar engine add-for-add, so "
-        "implicit upcasts or reduced-precision accumulation are "
-        "direct bit-identity hazards.",
-    ),
     # -- hot-path hygiene ----------------------------------------------
     Rule(
         "missing-slots",
@@ -288,12 +243,6 @@ DEFAULT_HOT_PATH_CLASSES: Mapping[str, FrozenSet[str]] = {
         }
     ),
     "faults/injector.py": frozenset({"ChannelFault"}),
-    # The vectorized batch engine: structure-of-arrays classes whose
-    # attributes are numpy buffers.  __slots__ still applies (array
-    # *rebinding* outside __init__ is the hazard the rules catch; the
-    # hot loop mutates array contents in place, which the rules allow).
-    "engine/mt.py": frozenset({"BatchedMT19937"}),
-    "engine/vector.py": frozenset({"VectorEngine"}),
 }
 
 
@@ -315,10 +264,6 @@ DEFAULT_SERVICE_PATH_MARKERS: Tuple[str, ...] = (
     "/obs/dashboard",
 )
 
-#: Path fragments that put a file in the ``engine`` scope.
-DEFAULT_ENGINE_PATH_MARKERS: Tuple[str, ...] = ("/engine/",)
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Tunable lint policy (scopes, allowlists, rule selection)."""
@@ -329,8 +274,6 @@ class LintConfig:
     network_path_markers: Tuple[str, ...] = DEFAULT_NETWORK_PATH_MARKERS
     #: Posix-path fragments selecting the ``service`` scope.
     service_path_markers: Tuple[str, ...] = DEFAULT_SERVICE_PATH_MARKERS
-    #: Posix-path fragments selecting the ``engine`` scope.
-    engine_path_markers: Tuple[str, ...] = DEFAULT_ENGINE_PATH_MARKERS
     #: Hot-path class allowlist: posix path suffix -> class names.
     hot_path_classes: Mapping[str, FrozenSet[str]] = field(
         default_factory=lambda: dict(DEFAULT_HOT_PATH_CLASSES)
@@ -341,8 +284,6 @@ class LintConfig:
             return self.network_path_markers
         if scope == SCOPE_SERVICE:
             return self.service_path_markers
-        if scope == SCOPE_ENGINE:
-            return self.engine_path_markers
         return ()
 
     def rule_applies(self, rule_id: str, posix_path: str) -> bool:
@@ -350,7 +291,7 @@ class LintConfig:
         if rule_id not in self.enabled_rules:
             return False
         rule = RULES_BY_ID[rule_id]
-        if rule.scope in (SCOPE_NETWORK, SCOPE_SERVICE, SCOPE_ENGINE):
+        if rule.scope in (SCOPE_NETWORK, SCOPE_SERVICE):
             return any(
                 marker in posix_path
                 for marker in self._scope_markers(rule.scope)

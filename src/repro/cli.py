@@ -166,18 +166,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="run under cProfile and print the top 20 cumulative entries",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("naive", "active", "vector"),
-        default="active",
-        help=(
-            "cycle engine: 'active' (default) skips idle routers, "
-            "'naive' steps every router, 'vector' batch-steps the whole "
-            "mesh through numpy (falls back to 'active' for "
-            "not-yet-vectorized designs and hooked runs); results are "
-            "bit-identical across engines"
-        ),
-    )
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -300,7 +288,6 @@ def _runner(args: argparse.Namespace) -> ExperimentRunner:
         base_seed=args.base_seed,
         sanitize=getattr(args, "sanitize", False),
         obs=_obs_options(args),
-        engine=getattr(args, "engine", "active"),
     )
 
 
@@ -319,7 +306,6 @@ def _closed_loop_spec(args: argparse.Namespace, design: Design):
         measure_cycles=args.measure,
         seeds=args.seeds,
         base_seed=args.base_seed,
-        engine=getattr(args, "engine", "active"),
         workload=args.workload.name,
         metrics=getattr(args, "metrics", False),
     )
@@ -777,7 +763,6 @@ def _submit_spec(args: argparse.Namespace) -> dict:
         "measure_cycles": args.measure,
         "seeds": args.seeds,
         "base_seed": args.base_seed,
-        "engine": args.engine,
         "metrics": args.metrics,
     }
     if args.kind == "closed_loop":

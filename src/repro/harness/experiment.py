@@ -165,7 +165,6 @@ class _ClosedLoopJob:
     seed: int
     sanitize: bool = False
     obs: Optional[ObservabilityOptions] = None
-    engine: str = "active"
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ def _run_closed_loop_seed(job: _ClosedLoopJob) -> _ClosedLoopSample:
     without bound.
     """
     reset_packet_ids()
-    net = Network(job.config, job.design, seed=job.seed, engine=job.engine)
+    net = Network(job.config, job.design, seed=job.seed)
     system = MemorySystem(
         net, job.workload, machine=job.machine, seed=1000 + job.seed
     )
@@ -261,7 +260,6 @@ class _OpenLoopJob:
     seed: int
     sanitize: bool = False
     obs: Optional[ObservabilityOptions] = None
-    engine: str = "active"
 
 
 @dataclass(frozen=True)
@@ -284,7 +282,7 @@ class _OpenLoopSample:
 def _run_open_loop_seed(job: _OpenLoopJob) -> _OpenLoopSample:
     """One warmed-up open-loop run (module-level so it pickles)."""
     reset_packet_ids()
-    net = Network(job.config, job.design, seed=job.seed, engine=job.engine)
+    net = Network(job.config, job.design, seed=job.seed)
     source = OpenLoopSource(
         net,
         job.rate,
@@ -348,7 +346,6 @@ class _FaultJob:
     protection: Optional[ProtectionConfig]
     drain_max_cycles: int
     seed: int
-    engine: str = "active"
 
 
 @dataclass(frozen=True)
@@ -378,7 +375,7 @@ def _run_fault_seed(job: _FaultJob) -> _FaultSample:
     merely delays fault onset (the schedule starts at
     ``warmup_cycles``) so faults hit a loaded network."""
     reset_packet_ids()
-    net = Network(job.config, job.design, seed=job.seed, engine=job.engine)
+    net = Network(job.config, job.design, seed=job.seed)
     schedule = job.spec.schedule(
         net.mesh,
         start=job.warmup_cycles,
@@ -684,7 +681,6 @@ class ExperimentRunner:
         base_seed: int = 0,
         sanitize: bool = False,
         obs: Optional[ObservabilityOptions] = None,
-        engine: str = "active",
     ) -> None:
         self.config = config if config is not None else NetworkConfig()
         self.machine = machine
@@ -705,10 +701,6 @@ class ExperimentRunner:
         #: Observability options applied to closed/open-loop runs;
         #: ``None`` (the default) leaves every hook unset.
         self.obs = obs
-        #: Cycle engine every run is built with (``naive``, ``active``
-        #: or ``vector``); carried inside the picklable job description
-        #: so the parallel ``--jobs`` path uses it too.
-        self.engine = engine
 
     def _seed_range(self) -> range:
         return range(self.base_seed, self.base_seed + self.seeds)
@@ -743,7 +735,6 @@ class ExperimentRunner:
                     seed=seed,
                     sanitize=self.sanitize,
                     obs=self._obs_for_seed(index),
-                    engine=self.engine,
                 )
                 for index, seed in enumerate(self._seed_range())
             ],
@@ -784,7 +775,6 @@ class ExperimentRunner:
                     seed=seed,
                     sanitize=self.sanitize,
                     obs=self._obs_for_seed(index),
-                    engine=self.engine,
                 )
                 for index, seed in enumerate(self._seed_range())
             ],
@@ -826,7 +816,6 @@ class ExperimentRunner:
                     protection=protection,
                     drain_max_cycles=drain_max_cycles,
                     seed=seed,
-                    engine=self.engine,
                 )
                 for seed in self._seed_range()
             ],

@@ -92,7 +92,6 @@ def _job_entry(record: dict, series: List[dict]) -> dict:
         "design": spec.get("design"),
         "target": spec.get("workload", spec.get("rate")),
         "seeds": spec.get("seeds"),
-        "engine": spec.get("engine"),
         "version": record.get("version"),
         "summary": {
             name: result[name]

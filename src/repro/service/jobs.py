@@ -17,12 +17,8 @@ Key discipline — what is hashed and what is not:
   changes the key), design, cycle counts, seed range, fault spec,
   protection config, and whether metrics are collected (they ride in
   the result payload).
-* **Not hashed**: the ``engine`` — engines are bit-identical by
-  contract (pinned by ``tests/test_engine_determinism.py`` and
-  ``tests/test_vector_engine.py``), so a result computed by the vector
-  engine *is* the result for an ``active``-engine request; and
-  execution policy (priority, timeout, retries), which changes when a
-  result arrives, never what it contains.
+* **Not hashed**: execution policy (priority, timeout, retries), which
+  changes when a result arrives, never what it contains.
 """
 
 from __future__ import annotations
@@ -74,9 +70,6 @@ class JobSpec:
     measure_cycles: int = 6_000
     seeds: int = 1
     base_seed: int = 0
-    #: Cycle engine to execute with; excluded from :meth:`key` (see
-    #: module docstring).
-    engine: str = "active"
     #: Closed loop only: workload name in ``WORKLOADS``.
     workload: str = "apache"
     #: Open loop / faulted only: offered load, flits/node/cycle.
@@ -106,8 +99,6 @@ class JobSpec:
             raise ValueError(
                 f"offered rate must be in (0, 1], got {self.rate}"
             )
-        if self.engine not in ("naive", "active", "vector"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.seeds < 1:
             raise ValueError("a job needs at least one seed")
         if self.warmup_cycles < 0 or self.measure_cycles <= 0:
@@ -133,7 +124,6 @@ class JobSpec:
             "measure_cycles": self.measure_cycles,
             "seeds": self.seeds,
             "base_seed": self.base_seed,
-            "engine": self.engine,
             "metrics": self.metrics,
         }
         if self.kind == "closed_loop":
@@ -239,7 +229,6 @@ class JobSpec:
                 workload=WORKLOADS[self.workload],
                 seed=self.seed_of(index),
                 obs=self._obs(),
-                engine=self.engine,
             )
         if self.kind == "open_loop":
             return OpenLoopJob(
@@ -254,7 +243,6 @@ class JobSpec:
                 source_queue_limit=self.source_queue_limit,
                 seed=self.seed_of(index),
                 obs=self._obs(),
-                engine=self.engine,
             )
         return FaultJob(
             config=self.config,
@@ -266,7 +254,6 @@ class JobSpec:
             protection=self.protection,
             drain_max_cycles=self.drain_max_cycles,
             seed=self.seed_of(index),
-            engine=self.engine,
         )
 
     def run_seed(self, index: int):

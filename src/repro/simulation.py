@@ -5,7 +5,7 @@ channels, and drives the two-phase per-cycle protocol (deliver, then
 step).  Routers interact exclusively through channel delay lines, so the
 iteration order over routers is immaterial.
 
-Three cycle engines drive that protocol (see docs/PERFORMANCE.md):
+Two cycle engines drive that protocol (see docs/PERFORMANCE.md):
 
 * ``engine="naive"`` — the reference loop: every router delivers and
   steps every cycle.
@@ -15,13 +15,6 @@ Three cycle engines drive that protocol (see docs/PERFORMANCE.md):
   and skipped; their per-cycle bookkeeping (EWMA decay, mode residency)
   is replayed in a batch on wake.  Results are bit-identical to the
   naive loop — the determinism test suite enforces this per design.
-* ``engine="vector"`` — the structure-of-arrays batch engine
-  (repro.engine, requires numpy): router/channel/flit state lives in
-  preallocated numpy buffers and each pipeline stage advances as a
-  vectorized pass over all routers at once.  Networks the batch passes
-  do not model (currently every design except plain backpressureless,
-  plus any run with fault/observability/protection hooks) fall back
-  transparently to the active-set engine — bit-identical either way.
 
 Typical use::
 
@@ -101,22 +94,9 @@ class Network:
         on_packet: Optional[Callable[[int, CompletedPacket], None]] = None,
         engine: str = "active",
     ) -> None:
-        if engine not in ("active", "naive", "vector"):
+        if engine not in ("active", "naive"):
             raise ValueError(f"unknown cycle engine {engine!r}")
-        if engine == "vector":
-            # Fail fast with a clear message; the scalar engines stay
-            # dependency-free (numpy is optional, see repro.engine).
-            from .engine import require_numpy
-
-            require_numpy()
         self.engine = engine
-        #: Live vector-engine state (built lazily at the first step so
-        #: clients may attach hooks between construction and running).
-        self._vector_engine = None
-        #: Why a ``engine="vector"`` request fell back to the scalar
-        #: active-set engine (None while the vector engine is running,
-        #: or when it was never requested).
-        self.vector_fallback_reason: Optional[str] = None
         self.config = config
         self.design = design
         self.mesh = config.mesh
@@ -255,9 +235,6 @@ class Network:
     # -- cycle loop -----------------------------------------------------------
     def step(self) -> None:
         """Advance the network by one cycle."""
-        if self.engine == "vector":
-            self._step_vector()
-            return
         if self.pre_step_hook is not None:
             self.pre_step_hook(self.cycle)
         if self.engine == "active":
@@ -278,53 +255,6 @@ class Network:
         self.energy.static_cycle(self.routers)
         self.stats.tick()
         self.cycle += 1
-
-    def _step_vector(self) -> None:
-        """Vector-engine dispatch: adopt lazily, fall back transparently.
-
-        The batch engine only models plain backpressureless meshes with
-        no external hooks (see repro.engine.vector); everything else —
-        other designs, fault injectors, sanitizers, observability sinks,
-        protection layers — runs on the scalar active-set engine, whose
-        results are bit-identical.  Hooks attached *after* adoption are
-        detected at the next cycle boundary and the engine materializes
-        its buffers back into the scalar objects before falling back.
-        """
-        engine = self._vector_engine
-        if engine is None:
-            from .engine import build_vector_engine, vector_ineligibility
-
-            reason = vector_ineligibility(self)
-            if reason is not None:
-                self._activate_fallback(reason)
-                self.step()
-                return
-            engine = build_vector_engine(self)
-            self._vector_engine = engine
-        else:
-            reason = engine.hooks_dirty()
-            if reason is not None:
-                engine.materialize()
-                self._vector_engine = None
-                self._activate_fallback(reason)
-                self.step()
-                return
-        engine.step_cycle()
-
-    def _activate_fallback(self, reason: str) -> None:
-        """Switch this network to the active-set scalar engine."""
-        self.engine = "active"
-        self.vector_fallback_reason = reason
-        if (
-            isinstance(self.energy, OrionEnergyMeter)
-            and self._static_cache is None
-        ):
-            self._static_cache = StaticEnergyCache(self.energy, self.routers)
-        for node, ni in enumerate(self.interfaces):
-            if ni.on_activity is None:
-                ni.on_activity = (
-                    lambda _node=node: self._notify_activity(_node)
-                )
 
     def _step_fast(self) -> None:
         """Active-set loop: deliver/step only the awake routers.
@@ -511,8 +441,6 @@ class Network:
     @property
     def flits_in_network(self) -> int:
         """Flits in links, latches and buffers (not source queues)."""
-        if self._vector_engine is not None:
-            return self._vector_engine.flits_in_network()
         in_links = sum(ch.flits_in_flight for ch in self.channels)
         in_routers = sum(r.resident_flits() for r in self.routers)
         return in_links + in_routers

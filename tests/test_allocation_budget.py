@@ -49,11 +49,8 @@ def _trace_steady_state(
     with_injector: bool = False,
     with_detached_sanitizer: bool = False,
     with_detached_observability: bool = False,
-    engine: str = "active",
 ):
-    net = Network(
-        NetworkConfig(width=8, height=8), design, seed=1, engine=engine
-    )
+    net = Network(NetworkConfig(width=8, height=8), design, seed=1)
     if with_injector:
         FaultInjector(net, FaultSchedule.empty())
     if with_detached_sanitizer:
@@ -76,9 +73,6 @@ def _trace_steady_state(
         net, RATE, seed=7, source_queue_limit=32
     )
     source.run(WARMUP_CYCLES)
-    if engine == "vector":
-        # Guard against silently measuring the scalar fallback.
-        assert net.engine == "vector", net.vector_fallback_reason
     gc.collect()
     tracemalloc.start(1)
     try:
@@ -110,28 +104,6 @@ def test_steady_state_allocations_within_budget(design):
         f"{design.value}: transient high-water {transient:.0f} B above "
         f"final retained exceeds the {TRANSIENT_BUDGET} B budget — "
         "per-cycle temporary churn has returned to the hot path"
-    )
-
-
-def test_vector_engine_steady_state_within_same_budget():
-    """The vectorized batch step fits the *same* budgets as the scalar
-    engines.  Its numpy pass temporaries (masks, gathers, the per-cycle
-    candidate matrices) are freed within the cycle, so they show up only
-    in the transient high-water mark — measured ~40 KiB for the whole
-    window, well inside the shared budget — while retained growth stays
-    the same live-flit/latency-log line the scalar engines have."""
-    retained_per_cycle, transient = _trace_steady_state(
-        Design.BACKPRESSURELESS, engine="vector"
-    )
-    assert retained_per_cycle < RETAINED_BUDGET_PER_CYCLE, (
-        f"vector: retained {retained_per_cycle:.0f} B/cycle exceeds the "
-        f"{RETAINED_BUDGET_PER_CYCLE} B/cycle budget — a numpy buffer is "
-        "being reallocated (and cached) per cycle instead of reused"
-    )
-    assert transient < TRANSIENT_BUDGET, (
-        f"vector: transient high-water {transient:.0f} B exceeds the "
-        f"{TRANSIENT_BUDGET} B budget — the batch passes are allocating "
-        "far more per-cycle scratch than the recorded steady state"
     )
 
 

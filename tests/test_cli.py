@@ -20,6 +20,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--workload", "nonsense"])
 
+    @pytest.mark.parametrize(
+        "command", ["run", "compare", "sweep", "faults", "submit"]
+    )
+    def test_engine_flag_rejected(self, command):
+        # The cycle engine is chosen on Network only; no subcommand
+        # carries it.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--engine", "active"])
+
     def test_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.design.value == "afc"

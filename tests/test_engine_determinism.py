@@ -17,8 +17,10 @@ still owes (or is owed) a flit would show up here immediately.
 
 import pytest
 
+from conftest import DATAPATH_DESIGNS
 from repro import Design, Network, NetworkConfig
 from repro.analysis.sanitizer import Sanitizer
+from repro.faults import FaultInjector, FaultSpec, ProtectionConfig
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.sweep import SweepGrid, run_open_loop_sweep
 from repro.network.flit import reset_packet_ids
@@ -188,6 +190,40 @@ def test_sanitizer_runs_are_bit_identical(design, engine):
     watched = _run_sanitized_scenario(design, engine, 0.35, 500, False)
     assert detached == plain
     assert watched == plain
+
+
+# -- fault injection -------------------------------------------------------------
+@pytest.mark.parametrize("design", DATAPATH_DESIGNS, ids=lambda d: d.value)
+def test_faulted_schedule_bit_identical(design):
+    """A non-empty fault schedule (link flaps, bit errors, credit loss)
+    with end-to-end protection: the injector's per-cycle hook, the
+    retransmissions and the credit resynthesis wake and sleep routers
+    in ways fault-free traffic never does, and the active engine must
+    still match the naive loop through the protection drain."""
+    spec = FaultSpec(
+        seed=3,
+        link_flap_rate=5.0,
+        bit_error_rate=3.0,
+        flap_duration=20,
+        credit_loss_rate=2.0,
+    )
+
+    def run(engine):
+        reset_packet_ids()
+        net = Network(
+            NetworkConfig(width=4, height=4), design, seed=11, engine=engine
+        )
+        schedule = spec.schedule(net.mesh, start=0, horizon=1500)
+        assert len(schedule) > 0, "fault schedule unexpectedly empty"
+        injector = FaultInjector(net, schedule, ProtectionConfig())
+        source = uniform_random_traffic(
+            net, 0.25, seed=5, source_queue_limit=300
+        )
+        source.run(1500)
+        injector.drain(max_cycles=100_000)
+        return full_state(net)
+
+    assert run("active") == run("naive")
 
 
 def test_unknown_engine_rejected():

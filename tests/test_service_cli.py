@@ -90,14 +90,6 @@ class TestRunCache:
         store = ResultStore(tmp_path)
         assert first["config_hash"] in store
 
-    def test_cache_respects_engine_equivalence(self, capsys, tmp_path):
-        base = ["run", "--json", "--cache", "--store", str(tmp_path)] + FAST
-        first, err1 = run_json(capsys, base + ["--engine", "active"])
-        assert "cache: stored" in err1
-        second, err2 = run_json(capsys, base + ["--engine", "vector"])
-        assert "cache: hit" in err2
-        assert second == first
-
     def test_uncacheable_runs_bypass_the_store(self, capsys, tmp_path):
         argv = [
             "run", "--json", "--sanitize",

@@ -112,20 +112,6 @@ def test_resubmission_after_completion_is_a_cache_hit(tmp_path):
     assert results[0] == store.get(spec.key())
 
 
-def test_engine_variants_share_one_cache_entry(tmp_path):
-    """An active-engine result answers a vector-engine request — the
-    key excludes the engine because engines are bit-identical."""
-    store = ResultStore(tmp_path)
-    active = fast_spec(engine="active")
-    vector = fast_spec(engine="vector")
-    asyncio.run(drain(ExperimentService(store, jobs=2), [active]))
-    results, counters = asyncio.run(
-        drain(ExperimentService(store, jobs=2), [vector])
-    )
-    assert counters["seed_units_run"] == 0
-    assert results[0] == store.get(active.key())
-
-
 def test_full_queue_sheds_with_backpressure_hint(tmp_path):
     specs = [fast_spec(base_seed=i) for i in range(3)]
 
@@ -281,6 +267,11 @@ def test_protocol_over_tcp_socket(tmp_path):
 
 
 def test_protocol_rejects_malformed_requests_and_stays_up(tmp_path):
+    # A spec with a field JobSpec lacks (a client still sending the
+    # retired engine knob) is refused like any other malformed request.
+    retired = dict(fast_spec(seeds=1).to_dict(), engine="active")
+    submit = json.dumps({"op": "submit", "spec": retired}).encode()
+
     async def scenario():
         service = ExperimentService(ResultStore(tmp_path), jobs=1)
         server = ServiceServer(service, host="127.0.0.1", port=0)
@@ -292,12 +283,18 @@ def test_protocol_rejects_malformed_requests_and_stays_up(tmp_path):
                 ("127.0.0.1", port), timeout=10
             ) as sock:
                 handle = sock.makefile("rwb")
-                for bad in (b"not json\n", b'{"op": "nope"}\n', b"[]\n"):
+                for bad in (
+                    b"not json\n",
+                    b'{"op": "nope"}\n',
+                    b"[]\n",
+                    submit + b"\n",
+                ):
                     handle.write(bad)
                     handle.flush()
                     response = json.loads(handle.readline())
                     assert response["ok"] is False
-                # The connection survived three bad requests.
+                assert "'engine'" in response["error"]
+                # The connection survived four bad requests.
                 handle.write(b'{"op": "ping"}\n')
                 handle.flush()
                 assert json.loads(handle.readline())["pong"] is True

@@ -4,8 +4,7 @@ The load-bearing property here is **bit-identity**: a result that
 round-trips through the store's JSON codec equals the original
 dataclass field-for-field, so a cached answer is indistinguishable
 from a fresh simulation.  The key tests pin the hashing discipline:
-every result-determining knob changes the key; the engine (bit-
-identical across engines by repo contract) does not.
+every result-determining knob changes the key.
 """
 
 from __future__ import annotations
@@ -99,15 +98,6 @@ def test_key_sees_every_result_determining_knob(change):
     assert base.key() != JobSpec(**kwargs).key()
 
 
-def test_key_excludes_engine():
-    """Engines are bit-identical by contract (pinned by
-    test_engine_determinism / test_vector_engine), so a vector-engine
-    result answers an active-engine request."""
-    active = JobSpec(kind="open_loop", rate=0.2, **FAST)
-    vector = JobSpec(kind="open_loop", rate=0.2, engine="vector", **FAST)
-    assert active.key() == vector.key()
-
-
 def test_key_sees_fault_and_protection():
     base = JobSpec(kind="faulted", rate=0.15, **FAST)
     flapped = JobSpec(
@@ -145,6 +135,12 @@ def test_spec_validation():
         JobSpec(kind="open_loop", rate=1.5)
     with pytest.raises(ValueError):
         JobSpec.from_dict({"kind": "open_loop", "rate": 0.2, "bogus": 1})
+    # A field JobSpec lacks (here the retired engine knob) is refused by
+    # name, never silently dropped.
+    with pytest.raises(ValueError, match="'engine'"):
+        JobSpec.from_dict(
+            {"kind": "open_loop", "rate": 0.2, "engine": "active"}
+        )
 
 
 # -- exact result round-trips ---------------------------------------------
@@ -156,12 +152,10 @@ def _through_json(payload: dict) -> dict:
     return json.loads(json.dumps(payload))
 
 
-@pytest.mark.parametrize("engine", ["active", "vector"])
-def test_closed_loop_result_round_trips_exactly(engine):
+def test_closed_loop_result_round_trips_exactly():
     runner = ExperimentRunner(
         NetworkConfig(3, 3),
         jobs=1,
-        engine=engine,
         obs=ObservabilityOptions(metrics=True),
         **FAST,
     )
@@ -171,11 +165,8 @@ def test_closed_loop_result_round_trips_exactly(engine):
     assert result_to_dict(result_from_dict(encoded)) == encoded
 
 
-@pytest.mark.parametrize("engine", ["active", "vector"])
-def test_open_loop_result_round_trips_exactly(engine):
-    runner = ExperimentRunner(
-        NetworkConfig(3, 3), jobs=1, engine=engine, **FAST
-    )
+def test_open_loop_result_round_trips_exactly():
+    runner = ExperimentRunner(NetworkConfig(3, 3), jobs=1, **FAST)
     result = runner.run_open_loop(
         Design.AFC, rate=0.2, latency_groups={"corner": [0]}
     )
